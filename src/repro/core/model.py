@@ -70,8 +70,7 @@ class ParametricReducedModel:
             nominal.C.toarray() if hasattr(nominal.C, "toarray") else nominal.C,
             dtype=float,
         )
-        self._dG_stack: Optional[np.ndarray] = None
-        self._dC_stack: Optional[np.ndarray] = None
+        self._stacks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- basic properties ---------------------------------------------
 
@@ -107,16 +106,24 @@ class ParametricReducedModel:
         The stacked layout is what the einsum-based batch kernels
         contract against; it is built lazily on first use.  Callers
         must treat the returned arrays as read-only.
+
+        Concurrent planners (the serve worker pool) may call this on one
+        model at once: the pair is built into locals and published as
+        one tuple, so no caller can see one stack without the other.  A
+        duplicate build by two racing callers is benign -- both produce
+        equal arrays.
         """
-        if self._dG_stack is None:
+        stacks = self._stacks
+        if stacks is None:
             q = self.nominal.order
             if self.num_parameters:
-                self._dG_stack = np.stack([np.asarray(gi, dtype=float) for gi in self.dG])
-                self._dC_stack = np.stack([np.asarray(ci, dtype=float) for ci in self.dC])
+                dg = np.stack([np.asarray(gi, dtype=float) for gi in self.dG])
+                dc = np.stack([np.asarray(ci, dtype=float) for ci in self.dC])
             else:
-                self._dG_stack = np.zeros((0, q, q))
-                self._dC_stack = np.zeros((0, q, q))
-        return self._dG_stack, self._dC_stack
+                dg = np.zeros((0, q, q))
+                dc = np.zeros((0, q, q))
+            stacks = self._stacks = (dg, dc)
+        return stacks
 
     # -- evaluation -----------------------------------------------------
 

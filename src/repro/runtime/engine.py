@@ -71,7 +71,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import JsonlSink
 from repro.runtime.batch import (
-    _pencil_time_scales,
     as_sample_matrix,
     batch_instantiate,
     batch_transfer_sensitivities,
@@ -127,12 +126,6 @@ _PLAN_CACHE_LIMIT = 512
 _PLAN_CACHE_HITS = obs_metrics.counter("engine.plan_cache.hits")
 _PLAN_CACHE_MISSES = obs_metrics.counter("engine.plan_cache.misses")
 
-# float32 keeps ~2^-24 relative precision; a pencil whose conditioning
-# eats more than half that budget is re-verified in float64 on the
-# screening tier of the pole routes.
-_SCREEN_POLE_COND = 1e5
-_SCREEN_FALLBACKS = obs_metrics.counter("runtime.batch.eig_fallbacks")
-
 
 # -- executor-route task bodies (module level: picklable) --------------
 
@@ -164,46 +157,6 @@ def _sensitivity_task(model, s: complex, point: np.ndarray):
 
     with obs_trace.span("sensitivities.instance"):
         return _scalar_sensitivities(model, s, point)
-
-
-def _screen_pole_block(model, block, num_poles):
-    """Float32 screening tier of the stacked dense pole route.
-
-    Every instance's pencil is time-scale normalized (see
-    :func:`_pencil_time_scales`), cast to float32, and solved through
-    the reference :func:`~repro.analysis.poles.dominant_poles`
-    protocol.  Instances whose float32 ``G`` is too ill-conditioned
-    (``cond > _SCREEN_POLE_COND``) or whose screened poles come back
-    non-finite are re-solved in float64.  Returns ``(pole_sets,
-    verified)``: ``verified[k]`` is True for re-verified float64 rows,
-    False for float32 rows the screen accepted.
-    """
-    from repro.analysis.poles import dominant_poles
-
-    g, c = batch_instantiate(model, block, exact=True)
-    alpha = _pencil_time_scales(g, c)
-    g32 = g.astype(np.float32)
-    c32 = (c * alpha[:, None, None]).astype(np.float32)
-    with np.errstate(all="ignore"):
-        conds = np.linalg.cond(g32.astype(np.float64))
-    verified = ~np.isfinite(conds) | (conds > _SCREEN_POLE_COND)
-    sets: List[np.ndarray] = []
-    pairs = zip(
-        systems_from_stacks(model, g, c),
-        systems_from_stacks(model, g32, c32),
-    )
-    for k, (full, screen) in enumerate(pairs):
-        if not verified[k]:
-            poles = np.asarray(dominant_poles(screen, num_poles), dtype=complex)
-            poles = poles * alpha[k]
-            if np.all(np.isfinite(poles)):
-                sets.append(poles)
-                continue
-            verified[k] = True
-        sets.append(np.asarray(dominant_poles(full, num_poles), dtype=complex))
-    if verified.any():
-        _SCREEN_FALLBACKS.inc(int(verified.sum()))
-    return sets, verified
 
 
 # -- results for the non-sweep workloads --------------------------------
@@ -244,11 +197,6 @@ class PoleStudy:
     them into a ``nan``-padded ``(m, num_poles)`` array.  Sharded runs
     cover only their own chunk rows: ``samples`` is then the covered
     subset and ``instance_indices`` maps it back to plan rows.
-
-    ``verified`` is the float32-screening provenance column: under
-    ``Study.precision("screen")`` it marks per instance whether the row
-    was re-verified in float64 (True) or accepted from the float32
-    screen (False); ``None`` on full-precision runs.
     """
 
     samples: np.ndarray
@@ -256,7 +204,6 @@ class PoleStudy:
     pole_sets: List[np.ndarray] = field(default_factory=list)
     shard: Optional[Tuple[int, int]] = None
     instance_indices: Optional[np.ndarray] = None
-    verified: Optional[np.ndarray] = None
 
     @property
     def num_samples(self) -> int:
@@ -307,12 +254,11 @@ class ExecutionPlan:
     documented working-set estimate of the chunked drivers (constant
     factor ~2); for executor routes it is a rough per-worker figure.
 
-    ``precision`` echoes the study's numeric tier (``"full"`` or
-    ``"screen"``).  When the planner detects low-rank sensitivity
-    structure on a dense sweep, ``detected_rank`` reports the total
-    update rank and ``estimated_flops`` the flop estimate of the kernel
-    it chose (order-of-magnitude accounting; only the eig-vs-low-rank
-    comparison is meaningful), so the routing decision is inspectable.
+    When the planner detects low-rank sensitivity structure on a dense
+    sweep, ``detected_rank`` reports the total update rank and
+    ``estimated_flops`` the flop estimate of the kernel it chose
+    (order-of-magnitude accounting; only the eig-vs-low-rank comparison
+    is meaningful), so the routing decision is inspectable.
     """
 
     route: str
@@ -327,7 +273,6 @@ class ExecutionPlan:
     notes: Tuple[str, ...] = ()
     store: Optional[str] = None
     shard: Optional[Tuple[int, int]] = None
-    precision: str = "full"
     detected_rank: Optional[int] = None
     estimated_flops: Optional[int] = None
 
@@ -343,8 +288,6 @@ class ExecutionPlan:
             f"peak:      ~{self.estimated_peak_bytes / 2**20:.1f} MiB",
             f"executor:  {self.executor}",
         ]
-        if self.precision != "full":
-            lines.append(f"precision: {self.precision} (float32 + float64 re-verify)")
         if self.detected_rank is not None:
             lines.append(f"lowrank:   detected rank {self.detected_rank}")
         if self.estimated_flops is not None:
@@ -380,7 +323,6 @@ class Study:
         self._keep_responses = False
         self._transient_options: Optional[dict] = None
         self._num_poles: Optional[int] = None
-        self._precision: str = "full"
         self._sensitivity_point: Optional[complex] = None
         self._executor_spec = None
         self._chunk_size: Optional[int] = None
@@ -484,30 +426,6 @@ class Study:
     def sensitivities(self, s: complex) -> "Study":
         """Request exact ``dH/dp_i`` at the complex frequency ``s``."""
         self._sensitivity_point = complex(s)
-        return self._invalidate()
-
-    def precision(self, tier: str) -> "Study":
-        """Numeric tier of the dense kernels: ``"full"`` or ``"screen"``.
-
-        ``"full"`` (the default) runs everything in float64.
-        ``"screen"`` runs the dense sweep/pole kernels in float32,
-        checks every instance's result against a float64 reference
-        probe (sweeps) or a conditioning bound (poles), and re-solves
-        only the flagged instances in float64.  The result carries a
-        per-instance ``verified`` column recording which rows were
-        re-verified (True) versus accepted from the screen (False);
-        the column persists through :meth:`store` checkpoints.  Screen
-        results are *approximate* (float32 rounding, typically ~1e-6
-        relative on healthy models) -- use the tier to triage large
-        ensembles, then re-run the interesting instances at full
-        precision.  Rejected at plan time for sparse targets and for
-        transient/sensitivity workloads, which stay float64-only.
-        """
-        if tier not in ("full", "screen"):
-            raise ValueError(
-                f"unknown precision tier {tier!r}: use 'full' or 'screen'"
-            )
-        self._precision = tier
         return self._invalidate()
 
     def executor(self, spec) -> "Study":
@@ -921,7 +839,6 @@ class Study:
             workload,
             array_fingerprint(samples),
             repr(sorted(config.items())),
-            self._precision,
             self._chunk_size,
             self._memory_budget,
             repr(self._executor_spec),
@@ -940,24 +857,6 @@ class Study:
         if self._shard is not None and self._store is None:
             notes.append("shard without store(...) computes but does not persist")
         store_path = None if self._store is None else str(self._store.directory)
-        if self._precision != "full":
-            if workload not in ("sweep", "sweep+poles", "poles"):
-                raise ValueError(
-                    "precision('screen') covers frequency sweeps and pole "
-                    "studies; transient and sensitivity workloads are "
-                    "float64-only"
-                )
-            if kind != "dense":
-                raise ValueError(
-                    "precision('screen') requires a dense-batchable target "
-                    "(reduce the system first; sparse full-order solves stay "
-                    "float64)"
-                )
-            if workload == "poles" and self._executor_spec is not None:
-                raise ValueError(
-                    "precision('screen') on a pole study uses the stacked "
-                    "dense route; drop executor(...)"
-                )
         detected_rank: Optional[int] = None
         estimated_flops: Optional[int] = None
 
@@ -993,8 +892,6 @@ class Study:
             elif kind == "sparse":
                 family = shared_pattern_family(target)
                 kernel = f"shared-pattern[{family.solver_kind}]"
-            elif self._precision == "screen":
-                kernel = "eig-rational[sweep-study/f32-screen]"
             else:
                 kernel = "eig-rational[sweep-study]"
                 solver = lowrank_solver(target)
@@ -1048,7 +945,6 @@ class Study:
                 notes=tuple(notes),
                 store=store_path,
                 shard=self._shard,
-                precision=self._precision,
                 detected_rank=detected_rank,
                 estimated_flops=estimated_flops,
             )
@@ -1093,8 +989,6 @@ class Study:
                 # per-sample route below (bit-identical either way: exact
                 # batched instantiation reproduces the scalar accumulation).
                 route, kernel = "dense-batch", "dominant-poles[stacked-instantiate]"
-                if self._precision == "screen":
-                    kernel = "dominant-poles[stacked-instantiate/f32-screen]"
                 peak = 16 * num_samples * q_or_n * q_or_n
             elif kind == "dense":
                 route, kernel = "executor-full", "dominant-poles[instantiate]"
@@ -1134,7 +1028,6 @@ class Study:
             notes=tuple(notes),
             store=store_path,
             shard=self._shard,
-            precision=self._precision,
             detected_rank=detected_rank,
             estimated_flops=estimated_flops,
         )
@@ -1455,7 +1348,6 @@ class Study:
                     num_poles=self._num_poles,
                     keep_poles=dense and self._num_poles is not None,
                     keep_responses=self._keep_responses,
-                    precision=self._precision,
                     solver=solver,
                 )
 
@@ -1485,11 +1377,7 @@ class Study:
                 backend.__enter__()
 
             def payload_fn(block):
-                pole_sets, verified = eval_block(block)
-                payload = _pack_pole_sets(pole_sets)
-                if verified is not None:
-                    payload["verified"] = verified
-                return payload
+                return _pack_pole_sets(eval_block(block))
 
             def cleanup():
                 if entered:
@@ -1532,17 +1420,11 @@ class Study:
         a one-shot run of the same declaration land on the same
         manifest key."""
         if workload in ("sweep", "sweep+poles"):
-            config = {
+            return {
                 "frequencies": array_fingerprint(self._frequencies),
                 "num_poles": self._num_poles,
                 "keep_responses": self._keep_responses,
             }
-            # Only non-default tiers enter the fingerprint: float64
-            # studies keep their historical manifest keys, while screen
-            # runs can never collide with full-precision checkpoints.
-            if self._precision != "full":
-                config["precision"] = self._precision
-            return config
         if workload == "transient":
             options = self._resolved_transient_options(target)
             return {
@@ -1557,10 +1439,7 @@ class Study:
                 "keep_outputs": bool(options["keep_outputs"]),
             }
         if workload == "poles":
-            config = {"num_poles": self._num_poles}
-            if self._precision != "full":
-                config["precision"] = self._precision
-            return config
+            return {"num_poles": self._num_poles}
         raise ValueError(f"workload {workload!r} has no durable config record")
 
     def _execute(self, plan: ExecutionPlan):
@@ -1585,7 +1464,6 @@ class Study:
                 progress=self._progress,
                 checkpoint=self._open_checkpoint(plan, target, samples, config),
                 shard=self._shard,
-                precision=self._precision,
                 solver=solver,
             )
             result.plan = self._scenario_plan()
@@ -1652,23 +1530,18 @@ class Study:
         One factory shared by :meth:`_run_poles` and the work-stealing
         drain (:meth:`work`), so both compute a chunk's pole sets
         through the identical kernel path.  ``eval_block(block)``
-        returns ``(pole_sets, verified)``; ``verified`` is the
-        screening provenance column (``None`` at full precision).
+        returns the block's pole sets.
         """
         num_poles = self._num_poles
         from repro.analysis.poles import dominant_poles
 
         if route == "dense-batch":
-            if self._precision == "screen":
-                def eval_block(block):
-                    return _screen_pole_block(target, block, num_poles)
-            else:
-                def eval_block(block):
-                    g, c = batch_instantiate(target, block, exact=True)
-                    return [
-                        dominant_poles(system, num_poles)
-                        for system in systems_from_stacks(target, g, c)
-                    ], None
+            def eval_block(block):
+                g, c = batch_instantiate(target, block, exact=True)
+                return [
+                    dominant_poles(system, num_poles)
+                    for system in systems_from_stacks(target, g, c)
+                ]
 
             return eval_block, None, False
         if supports_sparse_batching(target):
@@ -1685,7 +1558,7 @@ class Study:
             # span active here; with tracing off both are identity.
             return obs_trace.unwrap_results(
                 executor_map_array(backend, obs_trace.wrap_task(task), block)
-            ), None
+            )
 
         return eval_block, backend, owned
 
@@ -1698,8 +1571,6 @@ class Study:
         chunks = _owned_chunks(samples.shape[0], plan.chunk_size, self._shard)
         shard_total = sum(hi - lo for _, lo, hi in chunks)
         results: List[np.ndarray] = []
-        screen = self._precision == "screen" and plan.route == "dense-batch"
-        verified_rows: Optional[List[np.ndarray]] = [] if screen else None
         done = 0
         # Per-shard executor ownership: one engine-built pool serves
         # every chunk of this shard's run and is joined when it ends;
@@ -1723,28 +1594,15 @@ class Study:
                     )
                     loaded = payload is not None
                     if payload is None:
-                        pole_sets, verified = eval_block(samples[lo:hi])
+                        pole_sets = eval_block(samples[lo:hi])
                         if checkpoint is not None:
-                            packed = _pack_pole_sets(pole_sets)
-                            telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
-                            if verified is not None:
-                                packed["verified"] = verified
-                                telemetry["verified_instances"] = int(
-                                    verified.sum()
-                                )
                             checkpoint.save(
-                                index, lo, hi, packed, telemetry=telemetry
+                                index, lo, hi, _pack_pole_sets(pole_sets),
+                                telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
                             )
                     else:
                         pole_sets = _unpack_pole_sets(payload)
-                        verified = payload.get("verified")
                     results.extend(pole_sets)
-                    if verified_rows is not None:
-                        verified_rows.append(
-                            np.zeros(hi - lo, dtype=bool)
-                            if verified is None
-                            else np.asarray(verified, dtype=bool)
-                        )
                     done += hi - lo
                     chunks_done += 1
                     _observe_chunk(wall0, cpu0, hi - lo)
@@ -1768,13 +1626,6 @@ class Study:
             pole_sets=results,
             shard=self._shard,
             instance_indices=indices,
-            verified=(
-                None
-                if verified_rows is None
-                else np.concatenate(verified_rows)
-                if verified_rows
-                else np.zeros(0, dtype=bool)
-            ),
         )
 
     def _run_sensitivities(

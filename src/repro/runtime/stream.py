@@ -79,7 +79,6 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.batch import (
-    _screen_sweep_study,
     _sweep_study,
     as_sample_matrix,
     supports_batching,
@@ -199,7 +198,6 @@ def _sweep_chunk_payload(
     num_poles: Optional[int] = None,
     keep_poles: bool = False,
     keep_responses: bool = False,
-    precision: str = "full",
     solver=None,
 ) -> dict:
     """One sweep chunk's persistable payload (the checkpoint unit).
@@ -210,21 +208,14 @@ def _sweep_chunk_payload(
     checkpoint byte-identical arrays for the same chunk.  ``family`` is
     the shared sparsity pattern for sparse targets, ``None`` for dense.
 
-    ``precision="screen"`` runs the float32 screening kernel and adds a
-    per-instance ``verified`` column to the payload; ``solver`` (a
-    :class:`~repro.runtime.lowrank.LowRankEnsembleSolver`) switches the
-    dense kernel to the low-rank correction path.  Every kernel below
-    treats instances independently, so chunked payloads are
-    bit-identical to one-shot evaluation whichever route the planner
-    picked.
+    ``solver`` (a :class:`~repro.runtime.lowrank.LowRankEnsembleSolver`)
+    switches the dense kernel to the low-rank correction path.  Every
+    kernel below treats instances independently, so chunked payloads
+    are bit-identical to one-shot evaluation whichever route the
+    planner picked.
     """
-    verified = None
     if family is None:
-        if precision == "screen":
-            responses, poles, verified = _screen_sweep_study(
-                model, freqs, block, num_poles=num_poles, want_poles=keep_poles
-            )
-        elif solver is not None:
+        if solver is not None:
             responses, poles = solver.sweep(
                 block, freqs, num_poles=num_poles, want_poles=keep_poles
             )
@@ -245,8 +236,6 @@ def _sweep_chunk_payload(
         payload["poles"] = poles
     if keep_responses:
         payload["responses"] = responses
-    if verified is not None:
-        payload["verified"] = verified
     return payload
 
 
@@ -350,11 +339,7 @@ class StreamedSweepStudy:
     statistics over all instances; ``poles`` is the stacked
     ``(m, num_poles)`` array (dense-batchable models only);
     ``responses`` is kept only when the driver was asked to retain the
-    full grid (small studies / regression tests).  ``verified`` is the
-    per-instance provenance column of float32-screened runs: ``True``
-    where the instance was re-verified in float64, ``False`` where the
-    screened single-precision value was accepted, ``None`` for
-    full-precision runs.
+    full grid (small studies / regression tests).
     """
 
     plan: Optional[ScenarioPlan]
@@ -369,7 +354,6 @@ class StreamedSweepStudy:
     responses: Optional[np.ndarray] = None
     shard: Optional[Tuple[int, int]] = None
     instance_indices: Optional[np.ndarray] = None
-    verified: Optional[np.ndarray] = None
 
     @property
     def num_samples(self) -> int:
@@ -402,7 +386,6 @@ def _stream_sweep_study(
     progress: Optional[ProgressCallback] = None,
     checkpoint=None,
     shard: Optional[Tuple[int, int]] = None,
-    precision: str = "full",
     solver=None,
 ) -> StreamedSweepStudy:
     """Run a scenario plan's frequency study in fixed-size chunks.
@@ -441,11 +424,6 @@ def _stream_sweep_study(
         memory bound; for small studies and regression tests.
     progress:
         ``progress(instances_done, total_instances)`` after each chunk.
-    precision:
-        ``"full"`` (default) or ``"screen"`` -- the float32 screening
-        tier with per-instance float64 re-verification; chunk payloads
-        then carry a ``verified`` column and per-chunk telemetry
-        records ``verified_instances``.
     solver:
         An optional :class:`~repro.runtime.lowrank.LowRankEnsembleSolver`
         routing the dense chunks through the low-rank correction kernel.
@@ -472,7 +450,6 @@ def _stream_sweep_study(
     envelope = _EnvelopeAccumulator()
     pole_blocks = [] if (dense and num_poles is not None) else None
     response_blocks = [] if keep_responses else None
-    verified_blocks = [] if (dense and precision == "screen") else None
     num_chunks = 0
     effective_chunk = chunk_size if chunk_size is not None else max(total, 1)
     owned = _owned_chunks(total, chunk_size, shard)
@@ -494,16 +471,13 @@ def _stream_sweep_study(
                     num_poles=num_poles,
                     keep_poles=pole_blocks is not None,
                     keep_responses=response_blocks is not None,
-                    precision=precision,
                     solver=solver,
                 )
                 if checkpoint is not None:
-                    telemetry = _chunk_telemetry(wall0, cpu0, hi - lo)
-                    if "verified" in payload:
-                        telemetry["verified_instances"] = int(
-                            payload["verified"].sum()
-                        )
-                    checkpoint.save(index, lo, hi, payload, telemetry=telemetry)
+                    checkpoint.save(
+                        index, lo, hi, payload,
+                        telemetry=_chunk_telemetry(wall0, cpu0, hi - lo),
+                    )
             envelope.merge(
                 payload["env_min"], payload["env_max"], payload["env_sum"], hi - lo
             )
@@ -511,12 +485,6 @@ def _stream_sweep_study(
                 pole_blocks.append(payload["poles"])
             if response_blocks is not None:
                 response_blocks.append(payload["responses"])
-            if verified_blocks is not None:
-                verified_blocks.append(
-                    np.asarray(
-                        payload.get("verified", np.zeros(hi - lo, dtype=bool))
-                    ).astype(bool)
-                )
             num_chunks += 1
             done += hi - lo
             _observe_chunk(wall0, cpu0, hi - lo)
@@ -546,9 +514,6 @@ def _stream_sweep_study(
         else np.concatenate(response_blocks, axis=0),
         shard=shard,
         instance_indices=indices,
-        verified=None
-        if verified_blocks is None
-        else np.concatenate(verified_blocks, axis=0),
     )
 
 

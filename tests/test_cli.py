@@ -137,25 +137,6 @@ class TestMonteCarlo:
         assert main(argv) == 0
         assert "# cache: hit" in capsys.readouterr().out
 
-    def test_screen_precision_reports_verified_count(self, netlist_file, capsys):
-        code = main(
-            ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
-             "--moments", "3", "--precision", "screen"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "screen tier:" in out
-        assert "re-verified in float64" in out
-
-    def test_full_precision_omits_screen_line(self, netlist_file, capsys):
-        code = main(
-            ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",
-             "--moments", "3"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "screen tier:" not in out
-
     def test_jobs_spec_accepts_worker_count(self, netlist_file, capsys):
         code = main(
             ["montecarlo", netlist_file, "--instances", "3", "--poles", "2",

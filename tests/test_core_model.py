@@ -1,5 +1,7 @@
 """Tests for the reduced parametric model object and the nominal reducer."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,60 @@ class TestParametricReducedModel:
 
     def test_repr(self, model):
         assert f"size={model.size}" in repr(model)
+
+
+class _PausingList(list):
+    """A list whose first iteration blocks until the test releases it.
+
+    Substituted for ``model.dC`` it parks the first
+    :meth:`ParametricReducedModel.sensitivity_stacks` build exactly
+    while it walks the ``dC`` sensitivities -- after the ``dG`` stack
+    is built -- so a second caller deterministically runs inside that
+    window.
+    """
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+        self._paused = False
+
+    def __iter__(self):
+        with self._lock:
+            first, self._paused = not self._paused, True
+        if first:
+            self.entered.set()
+            self.release.wait(timeout=10)
+        return super().__iter__()
+
+
+class TestSensitivityStacksPublication:
+    def test_concurrent_caller_never_sees_half_built_stacks(self, model):
+        fresh = ParametricReducedModel(model.nominal, model.dG, model.dC)
+        pausing = _PausingList(fresh.dC)
+        fresh.dC = pausing
+        results = {}
+
+        def first_caller():
+            results["first"] = fresh.sensitivity_stacks()
+
+        thread = threading.Thread(target=first_caller)
+        thread.start()
+        try:
+            assert pausing.entered.wait(timeout=10)
+            # The first build is parked between its dG and dC stacks.
+            results["second"] = fresh.sensitivity_stacks()
+        finally:
+            pausing.release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        for name in ("first", "second"):
+            dg, dc = results[name]
+            assert dg is not None and dc is not None, name
+            assert dg.shape == dc.shape == (2, fresh.size, fresh.size)
+        np.testing.assert_array_equal(results["first"][0], results["second"][0])
+        np.testing.assert_array_equal(results["first"][1], results["second"][1])
 
 
 class TestNominalReducer:

@@ -46,19 +46,30 @@ TOLERANCES = {
 }
 
 
-def _case_rcneta_sweep():
-    """RCNetA (78 states, 3 width parameters): reduced sweep + poles."""
+def _rcneta_model_and_samples():
     parametric = rcnet_a()
     model = LowRankReducer(num_moments=4, rank=1).reduce(parametric)
-    frequencies = np.logspace(7, 10, 15)
     samples = sample_parameters(8, parametric.num_parameters, seed=11)
-    result = (
+    return model, samples
+
+
+def _rcneta_sweep_study():
+    """The rcneta_sweep declaration, unrun: ``(study, frequencies, samples)``."""
+    model, samples = _rcneta_model_and_samples()
+    frequencies = np.logspace(7, 10, 15)
+    study = (
         Study(model)
         .scenarios(samples)
         .sweep(frequencies, keep_responses=True)
         .poles(5)
-        .run()
     )
+    return study, frequencies, samples
+
+
+def _case_rcneta_sweep():
+    """RCNetA (78 states, 3 width parameters): reduced sweep + poles."""
+    study, frequencies, samples = _rcneta_sweep_study()
+    result = study.run()
     return {
         "provenance": np.array(
             "rcnet_a | LowRankReducer(num_moments=4, rank=1) | "
@@ -180,3 +191,22 @@ def test_all_goldens_committed():
         f"missing golden fixtures {missing}; run "
         "`pytest tests/test_golden.py --regen-goldens` and commit them"
     )
+
+
+# Manifest keys of the rcneta workload as stores already on disk record
+# them.  A resumed run finds its checkpoints by this key, so any change
+# to what enters the study fingerprint orphans every existing store.
+PINNED_STUDY_KEYS = {
+    "sweep": "dd871355e0d607e2dab70997fbc1121128a392042ce65de9c7112c4c05c6c9ab",
+    "poles": "102cfda725f16938681ccd447f6c9b17e25a11e9b32eef81a3a1c03aa6779fbf",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_STUDY_KEYS))
+def test_rcneta_manifest_keys_are_pinned(workload):
+    if workload == "sweep":
+        study = _rcneta_sweep_study()[0]
+    else:
+        model, samples = _rcneta_model_and_samples()
+        study = Study(model).scenarios(samples).poles(5)
+    assert study.fingerprint()["key"] == PINNED_STUDY_KEYS[workload]

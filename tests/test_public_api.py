@@ -142,13 +142,20 @@ class TestApiSnapshot:
         engine = importlib.import_module("repro.runtime.engine")
         for name in ENGINE_NAMES_SNAPSHOT:
             assert hasattr(engine, name), f"engine.{name} missing"
-        # Study is the front door: the builder surface itself is API.
-        study_methods = [
+        # Study is the front door: the builder surface itself is API,
+        # so the public method set is pinned exactly (no additions or
+        # removals slip through unreviewed).
+        study_methods = sorted([
             "scenarios", "sweep", "transient", "poles", "sensitivities",
             "executor", "memory_budget", "chunk", "cached", "reduced",
             "progress", "trace", "metrics", "plan", "run", "work",
             "drain_report", "warehouse", "warehouse_report",
-        ]
+            "fingerprint", "resume", "shard", "store",
+        ])
+        public = sorted(
+            name for name in dir(engine.Study) if not name.startswith("_")
+        )
+        assert public == study_methods
         for method in study_methods:
             assert callable(getattr(engine.Study, method)), f"Study.{method} missing"
 

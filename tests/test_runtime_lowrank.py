@@ -9,9 +9,8 @@ route keeps serving them); and the ``Study`` planner routes between
 the kernels on the flop estimates it exposes on the plan.
 
 Also covered here: the ill-conditioned-eigenbasis guard of the eig
-kernel (satellite of the same perf pass), the float32 screening tier's
-``verified`` provenance column, the ``batch_poles`` truncation
-pass-down, and the process-global plan cache.
+kernel (satellite of the same perf pass), the ``batch_poles``
+truncation pass-down, and the process-global plan cache.
 """
 
 import numpy as np
@@ -310,126 +309,3 @@ class TestPlanCache:
         chunked = Study(model).scenarios(samples).sweep(FREQUENCIES).chunk(3).plan()
         assert chunked is not plain
         assert chunked.num_chunks > plain.num_chunks
-
-
-class TestScreenTier:
-    def test_screen_sweep_sets_verified_column(self, model, samples):
-        result = (
-            Study(model)
-            .scenarios(samples)
-            .sweep(FREQUENCIES, keep_responses=True)
-            .precision("screen")
-            .run()
-        )
-        assert result.verified is not None
-        assert result.verified.shape == (samples.shape[0],)
-        assert result.verified.dtype == np.bool_
-        assert result.responses.dtype == np.complex128
-        reference, _ = _sweep_study(
-            model, FREQUENCIES, samples, num_poles=None, want_poles=False
-        )
-        scale = np.abs(reference).max()
-        assert np.abs(result.responses - reference).max() / scale < 1e-4
-
-    def test_full_precision_has_no_verified_column(self, model, samples):
-        result = Study(model).scenarios(samples).sweep(FREQUENCIES).run()
-        assert result.verified is None
-
-    def test_screen_pole_study_verifies_flagged_rows(self, model, samples):
-        screen = (
-            Study(model).scenarios(samples).poles(5).precision("screen").run()
-        )
-        full = Study(model).scenarios(samples).poles(5).run()
-        assert full.verified is None
-        assert screen.verified is not None
-        assert screen.verified.shape == (samples.shape[0],)
-        for flag, screened, reference in zip(
-            screen.verified, screen.pole_sets, full.pole_sets
-        ):
-            screened = np.asarray(screened)
-            reference = np.asarray(reference)
-            if flag:  # re-verified rows ran the float64 kernel
-                np.testing.assert_array_equal(screened, reference)
-            else:
-                scale = np.abs(reference).max()
-                assert np.abs(screened - reference).max() / scale < 1e-3
-
-    def test_verified_column_round_trips_through_store(
-        self, model, samples, tmp_path
-    ):
-        declaration = lambda: (
-            Study(model)
-            .scenarios(samples)
-            .sweep(FREQUENCIES, keep_responses=True)
-            .precision("screen")
-            .store(tmp_path)
-            .chunk(6)
-        )
-        first = declaration().run()
-        resumed = declaration().resume().run()
-        np.testing.assert_array_equal(resumed.verified, first.verified)
-        np.testing.assert_array_equal(resumed.responses, first.responses)
-
-    def test_screen_fingerprint_is_distinct_from_full(
-        self, model, samples, tmp_path
-    ):
-        base = Study(model).scenarios(samples).sweep(FREQUENCIES).store(tmp_path)
-        full_run = base.run()
-        # A screen run against the same store must not collide with the
-        # full-precision manifest (precision enters the fingerprint).
-        screened = (
-            Study(model)
-            .scenarios(samples)
-            .sweep(FREQUENCIES)
-            .precision("screen")
-            .store(tmp_path)
-            .run()
-        )
-        manifests = list(tmp_path.glob("manifest-*.json"))
-        assert len(manifests) == 2
-        assert full_run.verified is None and screened.verified is not None
-
-    def test_si_unit_time_constants_survive_float32(self):
-        # SI-unit RC pencils have |C|/|G| ~ 1e-13, below float32
-        # LAPACK's safe-scaling threshold (~9e-13): without time-scale
-        # normalization, single-precision geev silently mis-scales the
-        # spectrum (~30% pole error, unflagged).  Regression for the
-        # power-of-two pencil normalization in the screen paths.
-        from repro.circuits import rc_ladder, with_random_variations
-
-        parametric = with_random_variations(rc_ladder(6), 2, seed=0)
-        model = LowRankReducer(num_moments=3, rank=1).reduce(parametric)
-        samples = sample_parameters(8, parametric.num_parameters, seed=0)
-        full = Study(model).scenarios(samples).poles(4).run()
-        screen = (
-            Study(model).scenarios(samples).poles(4).precision("screen").run()
-        )
-        for flag, screened, reference in zip(
-            screen.verified, screen.pole_sets, full.pole_sets
-        ):
-            if flag:
-                continue
-            screened, reference = np.asarray(screened), np.asarray(reference)
-            scale = np.abs(reference).max()
-            assert np.abs(screened - reference).max() / scale < 1e-4
-
-    def test_precision_validation(self, model, samples):
-        with pytest.raises(ValueError, match="unknown precision tier"):
-            Study(model).scenarios(samples).precision("half")
-        with pytest.raises(ValueError, match="float64-only"):
-            (
-                Study(model)
-                .scenarios(samples)
-                .transient(num_steps=8)
-                .precision("screen")
-                .plan()
-            )
-        with pytest.raises(ValueError, match="drop executor"):
-            (
-                Study(model)
-                .scenarios(samples)
-                .poles(5)
-                .executor("thread")
-                .precision("screen")
-                .plan()
-            )

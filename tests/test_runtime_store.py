@@ -232,6 +232,69 @@ class TestStudyStore:
         assert len(list(tmp_path.glob("manifest-*.json"))) == 2
 
 
+class TestLegacyVerifiedColumn:
+    """Stores whose chunk payloads carry a per-instance ``verified`` array.
+
+    Earlier versions wrote that array into every chunk of a
+    float32-screened study.  Such stores must keep resuming, ingesting
+    and answering queries: the array is simply not read any more.
+    """
+
+    def test_legacy_payload_resumes_ingests_and_queries(
+        self, tmp_path, model, plan, monkeypatch
+    ):
+        from repro.warehouse import QueryEngine, Warehouse
+
+        real_payload = stream_module._sweep_chunk_payload
+
+        def legacy_payload(model, family, freqs, block, **kwargs):
+            payload = real_payload(model, family, freqs, block, **kwargs)
+            payload["verified"] = np.arange(block.shape[0]) % 2 == 0
+            return payload
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stream_module, "_sweep_chunk_payload", legacy_payload)
+            _sweep(model, plan).store(tmp_path / "legacy").run()
+        reference = _sweep(model, plan).store(tmp_path / "current").run()
+        legacy = StudyStore(tmp_path / "legacy")
+        key = legacy.study_keys()[0]
+        assert key == StudyStore(tmp_path / "current").study_keys()[0]
+        assert all("verified" in payload for _, payload in legacy.iter_chunks(key))
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("resumed run re-entered the sweep kernel")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stream_module, "_sweep_study", forbidden)
+            resumed = _sweep(model, plan).store(legacy).resume().run()
+        np.testing.assert_array_equal(resumed.responses, reference.responses)
+        np.testing.assert_array_equal(resumed.poles, reference.poles)
+        np.testing.assert_array_equal(
+            resumed.envelope_mean, reference.envelope_mean
+        )
+
+        answers = {}
+        for name in ("legacy", "current"):
+            warehouse = Warehouse(tmp_path / f"wh-{name}")
+            report = warehouse.ingest_store(tmp_path / name)
+            assert report.chunks == 4 and report.rows["instances"] == 13
+            engine = QueryEngine(warehouse)
+            outliers = engine.outliers("re", k=5, table="poles")
+            answers[name] = (
+                engine.percentile("re", 99.0, table="poles"),
+                [{k: v for k, v in row.items() if k != "chunk_sha256"}
+                 for row in outliers],
+            )
+            if name == "legacy":
+                shas = {r["index"]: r["sha256"] for r in legacy.lineage(key)}
+                for row in outliers:
+                    assert row["chunk_sha256"] == shas[row["chunk"]]
+        assert answers["legacy"] == answers["current"]
+        assert answers["current"][0]["value"] == float(
+            np.percentile(reference.poles.real, 99.0)
+        )
+
+
 class TestBuilderValidation:
     def test_resume_requires_store(self, model, plan):
         with pytest.raises(ValueError, match="requires store"):
